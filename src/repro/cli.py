@@ -174,11 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--queue-size", type=int, default=128,
                     help="admission queue bound; requests past it get an "
                     "immediate 503-style 'overloaded' reply")
-    sp.add_argument("--compute-threads", type=int, default=1,
-                    help="threads in the compute executor (default 1; the "
-                    "analysis is GIL-bound)")
-    sp.add_argument("--procs", type=int, default=0,
-                    help="worker processes for cold batch fan-out (0 = inline)")
     sp.add_argument("--breaker-threshold", type=int, default=3,
                     help="consecutive execute failures that open the circuit "
                     "breaker (degrades execute to analyze-only)")
@@ -377,8 +372,6 @@ def _run_serve(args) -> int:
         port=args.port,
         unix_path=args.socket,
         queue_size=args.queue_size,
-        compute_threads=args.compute_threads,
-        procs=args.procs,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown_s=args.breaker_cooldown_s,
         allow_test_ops=args.test_ops,

@@ -12,8 +12,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List
 
-from typing import Optional
-
 from repro.experiments.harness import CellSpec, run_cells
 
 CORES = [4, 8, 16]
@@ -39,13 +37,13 @@ class Fig13Cell:
         return self.t_without / self.t_with
 
 
-def fig13_cells(jobs: Optional[int] = None) -> List[Fig13Cell]:
+def fig13_cells() -> List[Fig13Cell]:
     keys = [(app, ds, p) for app, datasets in APPS.items() for ds in datasets for p in CORES]
     specs = []
     for app, ds, p in keys:
         specs.append(CellSpec(app, ds, "Cetus", p))
         specs.append(CellSpec(app, ds, "Cetus+NewAlgo", p))
-    runs = run_cells(specs, jobs=jobs)
+    runs = run_cells(specs)
     cells: List[Fig13Cell] = []
     for i, (app, ds, p) in enumerate(keys):
         without, with_ = runs[2 * i], runs[2 * i + 1]

@@ -4,7 +4,7 @@ subscript analysis) over the serial versions on 4/8/16 cores."""
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import List
 
 from repro.experiments.fig13 import APPS, CORES
 from repro.experiments.harness import CellSpec, run_cells
@@ -23,9 +23,9 @@ class Fig14Cell:
         return self.t_serial / self.t_parallel
 
 
-def fig14_cells(jobs: Optional[int] = None) -> List[Fig14Cell]:
+def fig14_cells() -> List[Fig14Cell]:
     keys = [(app, ds, p) for app, datasets in APPS.items() for ds in datasets for p in CORES]
-    runs = run_cells((CellSpec(app, ds, "Cetus+NewAlgo", p) for app, ds, p in keys), jobs=jobs)
+    runs = run_cells(CellSpec(app, ds, "Cetus+NewAlgo", p) for app, ds, p in keys)
     return [
         Fig14Cell(app, ds, p, run.serial_time, run.parallel_time)
         for (app, ds, p), run in zip(keys, runs)

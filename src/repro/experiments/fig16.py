@@ -9,7 +9,7 @@ over serial execution.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import List
 
 from repro.experiments.harness import CellSpec, run_cells
 
@@ -25,11 +25,10 @@ class Fig16Cell:
     improvement: float  # vs serial
 
 
-def fig16_cells(chunk: int = 32, jobs: Optional[int] = None) -> List[Fig16Cell]:
+def fig16_cells(chunk: int = 32) -> List[Fig16Cell]:
     keys = [(ds, p, sched) for ds in MATRICES for p in CORES for sched in ("dynamic", "static")]
     runs = run_cells(
-        (CellSpec("SDDMM", ds, "Cetus+NewAlgo", p, sched, chunk) for ds, p, sched in keys),
-        jobs=jobs,
+        CellSpec("SDDMM", ds, "Cetus+NewAlgo", p, sched, chunk) for ds, p, sched in keys
     )
     return [Fig16Cell(ds, p, sched, run.speedup) for (ds, p, sched), run in zip(keys, runs)]
 

@@ -4,7 +4,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.benchmarks import all_benchmarks
 from repro.experiments.harness import PIPELINES, CellSpec, run_cells
@@ -20,11 +20,10 @@ class Fig17Cell:
     plan_level: str
 
 
-def fig17_cells(jobs: Optional[int] = None) -> List[Fig17Cell]:
+def fig17_cells() -> List[Fig17Cell]:
     keys = [(bench, pipe) for bench in all_benchmarks() for pipe in PIPELINES]
     runs = run_cells(
-        (CellSpec(bench.name, bench.default_dataset, pipe, CORES) for bench, pipe in keys),
-        jobs=jobs,
+        CellSpec(bench.name, bench.default_dataset, pipe, CORES) for bench, pipe in keys
     )
     return [
         Fig17Cell(bench.name, pipe, run.speedup, run.plan_level)

@@ -6,23 +6,15 @@ cell: it parallelizes the benchmark's source under the pipeline's
 from the per-loop decisions, and predicts serial/parallel times with the
 machine model.  All figures are tables of these cells.
 
-**Parallel fan-out.**  Cells are independent pure functions of their
-:class:`CellSpec`, so :func:`run_cells` fans a spec list out over a
-``ProcessPoolExecutor``.  The pool explicitly requests the ``fork`` start
-method where the platform offers it (so workers inherit the parent's warm
-analysis caches); elsewhere — ``spawn`` on Windows/macOS — workers start
-cold and simply redo the per-worker analyses.  Each worker snapshots its
-:mod:`repro.ir.perfstats` counters (and tier/fallback histograms) around
-the cell and ships the delta back alongside the result over the existing
-reply pipe; the parent folds every delta into its own counters via
-:func:`repro.ir.perfstats.merge_counts`, so the CLI ``--stats`` report
-and the cache-hit accounting cover the whole run regardless of
-``REPRO_JOBS``.  The worker count defaults to ``os.cpu_count()`` and is
-overridden by the ``REPRO_JOBS`` environment variable or the ``jobs=``
-argument; ``REPRO_JOBS=1`` forces the fully serial path (no pool at all).
-Results come back in spec order, and each cell computes exactly the same
-floats serially or in a worker, so figure tables are bit-identical either
-way.
+**Serial cells.**  :func:`run_cells` evaluates a list of
+:class:`CellSpec` one after another in the calling process.  A cell costs
+one cached ``parallelize`` plus a machine-model simulation, so a process
+pool buys nothing: workers would redo analysis the parent never sees,
+and their warm caches would die with the pool.  Run serially, the
+parallelize cache serves every repeat of a (benchmark, pipeline) pair,
+within a call and across repeated figure runs, and ``--stats`` counts
+all of it.  Within one call each ``(benchmark, dataset)`` performance
+model is built once and shared by the cells that need it.
 """
 
 from __future__ import annotations
@@ -30,17 +22,13 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.analysis.config import AnalysisConfig
 from repro.benchmarks.base import Benchmark
 from repro.parallelizer.driver import ParallelizationResult, parallelize
 from repro.runtime.machine import DEFAULT_MACHINE, MachineModel
-from repro.runtime.simulate import plan_from_decisions, simulate_app
+from repro.runtime.simulate import PerfModel, plan_from_decisions, simulate_app
 
 logger = logging.getLogger("repro.experiments.harness")
 
@@ -75,7 +63,7 @@ class BenchRun:
 
 @dataclasses.dataclass
 class FailedCell:
-    """Placeholder for a cell whose evaluation crashed or timed out.
+    """Placeholder for a cell whose evaluation crashed.
 
     Duck-types :class:`BenchRun` (same identity fields, NaN metrics,
     ``plan_level="failed"``) so figure tables render a hole instead of
@@ -139,11 +127,17 @@ def run_benchmark(
     schedule: str = "static",
     chunk: int = 1,
     machine: MachineModel = DEFAULT_MACHINE,
+    perf: Optional[PerfModel] = None,
 ) -> BenchRun:
-    """Run one experiment cell."""
+    """Run one experiment cell.
+
+    ``perf`` is the benchmark's model for ``dataset`` when the caller has
+    already built it; otherwise it is built here.
+    """
     dataset = dataset or bench.default_dataset
     result = _compile(bench.name, pipeline)
-    perf = bench.perf_model(dataset)
+    if perf is None:
+        perf = bench.perf_model(dataset)
     plan = plan_from_decisions(perf, result)
     t_serial = perf.serial_time_target
     t_par = simulate_app(perf, plan, cores, machine, schedule, chunk)
@@ -161,16 +155,16 @@ def run_benchmark(
 
 
 # ---------------------------------------------------------------------------
-# parallel fan-out over independent cells
+# serial loop over independent cells
 # ---------------------------------------------------------------------------
 
 
 @dataclasses.dataclass(frozen=True)
 class CellSpec:
-    """Pickleable description of one experiment cell.
+    """Description of one experiment cell.
 
-    Carries names rather than objects so cells cross process boundaries
-    cheaply; :func:`run_cell` rehydrates the benchmark from the registry.
+    Carries names rather than objects; :func:`run_cell` rehydrates the
+    benchmark from the registry.
     """
 
     benchmark: str
@@ -181,181 +175,48 @@ class CellSpec:
     chunk: int = 1
 
 
-def run_cell(spec: CellSpec) -> BenchRun:
-    """Run one cell from its spec (worker entry point)."""
+def run_cell(
+    spec: CellSpec, perf_models: Optional[Dict[Tuple[str, str], PerfModel]] = None
+) -> BenchRun:
+    """Run one cell from its spec.
+
+    ``perf_models`` is a memo keyed by ``(benchmark, dataset)`` that the
+    caller owns; :func:`run_cells` shares one across its cells so each
+    benchmark's performance model is built once per call.
+    """
     from repro.benchmarks.registry import get_benchmark
 
     bench = get_benchmark(spec.benchmark)
-    return run_benchmark(bench, spec.dataset, spec.pipeline, spec.cores, spec.schedule, spec.chunk)
+    dataset = spec.dataset or bench.default_dataset
+    models = {} if perf_models is None else perf_models
+    key = (bench.name, dataset)
+    if key not in models:
+        models[key] = bench.perf_model(dataset)
+    return run_benchmark(
+        bench, dataset, spec.pipeline, spec.cores, spec.schedule, spec.chunk, perf=models[key]
+    )
 
 
-def _run_cell_stats(spec: CellSpec):
-    """Worker entry point: run one cell and return its perfstats delta.
-
-    Module-level (picklable) wrapper around :func:`run_cell`.  The delta
-    covers only this cell's work — counters inherited from a forked
-    parent are subtracted out — so the parent can fold deltas from many
-    workers without double counting.
-    """
-    from repro.ir import perfstats
-
-    before = perfstats.STATS.as_dict()
-    tiers_before = dict(perfstats.TIERS)
-    falls_before = dict(perfstats.FALLBACKS)
-    result = run_cell(spec)
-    after = perfstats.STATS.as_dict()
-    counts = {k: after[k] - before.get(k, 0) for k in after if after[k] != before.get(k, 0)}
-    tiers = {
-        k: v - tiers_before.get(k, 0)
-        for k, v in perfstats.TIERS.items()
-        if v != tiers_before.get(k, 0)
-    }
-    falls = {
-        k: v - falls_before.get(k, 0)
-        for k, v in perfstats.FALLBACKS.items()
-        if v != falls_before.get(k, 0)
-    }
-    return result, counts, tiers, falls
-
-
-def _merge_cell_stats(payload) -> "BenchRun":
-    """Unpack a worker's (result, deltas) payload, folding stats into STATS."""
-    from repro.ir import perfstats
-
-    result, counts, tiers, falls = payload
-    perfstats.merge_counts(counts, tiers, falls)
-    return result
-
-
-def resolved_jobs(jobs: Optional[int] = None) -> int:
-    """Worker count: explicit ``jobs`` > ``REPRO_JOBS`` env > cpu count."""
-    if jobs is not None:
-        return max(1, int(jobs))
-    env = os.environ.get("REPRO_JOBS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(
-                f"REPRO_JOBS must be an integer, got {env!r}"
-            ) from None
-    return os.cpu_count() or 1
-
-
-def _pool_context() -> Optional[multiprocessing.context.BaseContext]:
-    """``fork`` where the platform offers it, else the platform default.
-
-    Forked workers inherit the parent's warm analysis caches; the default
-    start method stopped being ``fork`` on macOS (3.8) and on Linux (3.14,
-    forkserver), so we ask for it explicitly rather than rely on it.
-    """
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return None
-
-
-def resolved_cell_timeout(cell_timeout: Optional[float] = None) -> Optional[float]:
-    """Per-cell wall-clock limit: explicit arg > ``REPRO_CELL_TIMEOUT`` env.
-
-    ``None`` (the default) means no limit.
-    """
-    if cell_timeout is not None:
-        return cell_timeout if cell_timeout > 0 else None
-    env = os.environ.get("REPRO_CELL_TIMEOUT", "").strip()
-    if env:
-        try:
-            val = float(env)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_CELL_TIMEOUT must be a number of seconds, got {env!r}"
-            ) from None
-        return val if val > 0 else None
-    return None
-
-
-def _run_cell_guarded(spec: CellSpec) -> Union[BenchRun, "FailedCell"]:
-    """Serial evaluation of one cell; a crash becomes a :class:`FailedCell`."""
+def _run_cell_guarded(
+    spec: CellSpec, perf_models: Dict[Tuple[str, str], PerfModel]
+) -> Union[BenchRun, FailedCell]:
+    """Evaluate one cell; a crash becomes a :class:`FailedCell`."""
     try:
-        return run_cell(spec)
+        return run_cell(spec, perf_models)
     except Exception as exc:  # fail-soft: one bad cell must not kill the table
-        logger.warning("cell %s failed serially: %s", spec, exc)
+        logger.warning("cell %s failed: %s", spec, exc)
         return _failed_cell(spec, f"{type(exc).__name__}: {exc}")
 
 
-def run_cells(
-    specs: Iterable[CellSpec],
-    jobs: Optional[int] = None,
-    cell_timeout: Optional[float] = None,
-) -> List[BenchRun]:
-    """Evaluate independent cells, in spec order, fanning out over processes.
+def run_cells(specs: Iterable[CellSpec]) -> List[Union[BenchRun, FailedCell]]:
+    """Evaluate independent cells in spec order, one after another.
 
-    With one job (``jobs=1`` or ``REPRO_JOBS=1``) or a single cell this is a
-    plain serial loop.  The harness is fail-soft at every layer:
-
-    * pool *startup* failures (sandboxes without process support) log one
-      warning with the triggering exception and run the whole fan serially;
-    * a *worker crash* (including a broken pool) logs one warning and
-      retries the affected cell(s) serially, once each;
-    * a cell exceeding ``cell_timeout`` seconds (or ``REPRO_CELL_TIMEOUT``)
-      becomes a :class:`FailedCell` — a cell that hangs in a worker would
-      hang serially too, so there is no retry;
-    * a cell that also fails its serial retry becomes a :class:`FailedCell`.
-
-    Results always come back in spec order and always have one entry per
-    spec, so figure tables render holes instead of crashing.
+    A cell that raises is logged and becomes a :class:`FailedCell`, so the
+    result always has one entry per spec and figure tables render holes
+    instead of crashing.
     """
-    specs = list(specs)
-    timeout = resolved_cell_timeout(cell_timeout)
-    n = min(resolved_jobs(jobs), len(specs))
-    if n <= 1:
-        return [_run_cell_guarded(s) for s in specs]
-    try:
-        pool = ProcessPoolExecutor(max_workers=n, mp_context=_pool_context())
-    except (OSError, PermissionError) as exc:
-        logger.warning(
-            "process pool unavailable (%s: %s); running %d cells serially",
-            type(exc).__name__,
-            exc,
-            len(specs),
-        )
-        return [_run_cell_guarded(s) for s in specs]
-    results: List[Union[BenchRun, FailedCell]] = [None] * len(specs)  # type: ignore[list-item]
-    pool_broken = False
-    timed_out = False
-    try:
-        futures = {i: pool.submit(_run_cell_stats, s) for i, s in enumerate(specs)}
-        for i, fut in futures.items():
-            spec = specs[i]
-            try:
-                results[i] = _merge_cell_stats(fut.result(timeout=timeout))
-            except FutureTimeoutError:
-                timed_out = True
-                fut.cancel()
-                logger.warning("cell %s exceeded %.1fs; marking failed", spec, timeout)
-                results[i] = _failed_cell(spec, f"timed out after {timeout:.1f}s")
-            except BrokenProcessPool as exc:
-                if not pool_broken:
-                    pool_broken = True
-                    logger.warning(
-                        "worker pool broke (%s: %s); retrying remaining cells serially",
-                        type(exc).__name__,
-                        exc,
-                    )
-                results[i] = _run_cell_guarded(spec)
-            except Exception as exc:
-                # the cell itself raised in the worker: retry once serially
-                # (transient worker-side state is the common cause)
-                logger.warning(
-                    "cell %s crashed in worker (%s: %s); retrying serially",
-                    spec,
-                    type(exc).__name__,
-                    exc,
-                )
-                results[i] = _run_cell_guarded(spec)
-    finally:
-        # a hung worker must not block shutdown: abandon it on timeout
-        pool.shutdown(wait=not timed_out, cancel_futures=timed_out or pool_broken)
-    return results
+    perf_models: Dict[Tuple[str, str], PerfModel] = {}
+    return [_run_cell_guarded(spec, perf_models) for spec in specs]
 
 
 def speedup_table(
@@ -364,7 +225,6 @@ def speedup_table(
     pipelines: List[str],
     cores_list: List[int],
     schedule: str = "static",
-    jobs: Optional[int] = None,
 ) -> List[BenchRun]:
     """Cartesian sweep over datasets x pipelines x core counts."""
     specs = [
@@ -373,7 +233,7 @@ def speedup_table(
         for pipe in pipelines
         for p in cores_list
     ]
-    return run_cells(specs, jobs=jobs)
+    return run_cells(specs)
 
 
 def format_runs(runs: List[BenchRun], metric: str = "speedup") -> str:

@@ -83,30 +83,6 @@ class Counters:
 STATS = Counters()
 
 
-def merge_counts(
-    counters: Dict[str, int],
-    tiers: Optional[Dict[str, int]] = None,
-    fallbacks: Optional[Dict[str, int]] = None,
-) -> None:
-    """Fold counter deltas from another process into :data:`STATS`.
-
-    The experiment harness runs cells in worker processes; each worker
-    snapshots its counters around the cell and ships the delta back over
-    the existing reply pipe so ``--stats`` aggregates the whole run even
-    with ``REPRO_JOBS > 1``.  Unknown counter names are ignored (version
-    skew between parent and worker must not crash the harness).
-    """
-    for name, value in counters.items():
-        if value and name in Counters.__slots__:
-            setattr(STATS, name, getattr(STATS, name) + value)
-    for name, value in (tiers or {}).items():
-        if value:
-            TIERS[name] = TIERS.get(name, 0) + value
-    for name, value in (fallbacks or {}).items():
-        if value:
-            FALLBACKS[name] = FALLBACKS.get(name, 0) + value
-
-
 # ---------------------------------------------------------------------------
 # bounded caches (LRU) and intern-table caps
 # ---------------------------------------------------------------------------

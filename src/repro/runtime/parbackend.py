@@ -43,9 +43,9 @@ On detection the pool self-heals:
 
 Every fault, respawn and degradation step is recorded in
 :mod:`repro.runtime.workmeter` and the :mod:`repro.diagnostics` runtime
-trail, and a process-wide :class:`CircuitBreaker` opens after repeated
-dispatch failures so :mod:`repro.runtime.costmodel` stops *planning*
-pool dispatch until a cooldown expires (half-open re-probe).
+trail, and a process-wide :class:`~repro.breaker.CircuitBreaker` opens
+after repeated dispatch failures so :mod:`repro.runtime.costmodel` stops
+*planning* pool dispatch until a cooldown expires (half-open re-probe).
 
 ``run_loop`` still *declines* (returns ``None``, the kernel falls back
 to its serial lowering) whenever dispatch has not started: an array the
@@ -83,6 +83,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.breaker import CircuitBreaker
 from repro.runtime.interp import InterpError
 
 #: below this trip count a dispatch costs more than it saves
@@ -176,57 +177,20 @@ def _note_degradation(loop_key: str, frm: str, to: str, reason: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-class CircuitBreaker:
-    """Consecutive-failure breaker with a cooldown-based half-open probe.
+def _pool_breaker() -> CircuitBreaker:
+    """A fresh pool breaker configured from the env knobs.
 
-    ``record_failure`` on every dispatch that needed healing; after
-    ``threshold`` consecutive failures the breaker *opens*:
-    :func:`dispatch_allowed` returns False, so the cost model stops
-    choosing ``compiled-parallel`` and ``run_loop`` declines pre-dispatch
-    (serial lowering runs instead).  After ``cooldown_s`` the breaker is
-    *half-open* — one dispatch is allowed through as a probe; its success
-    closes the breaker, another failure re-opens it for a fresh cooldown.
+    While it is open, :func:`dispatch_allowed` returns False, so the cost
+    model stops choosing ``compiled-parallel`` and ``run_loop`` declines
+    pre-dispatch (serial lowering runs instead).
     """
-
-    def __init__(self, threshold: Optional[int] = None, cooldown_s: Optional[float] = None):
-        self.threshold = int(threshold or _env_float("REPRO_BREAKER_THRESHOLD", 3))
-        self.cooldown_s = float(
-            cooldown_s if cooldown_s is not None else _env_float("REPRO_BREAKER_COOLDOWN_S", 30.0)
-        )
-        self.failures = 0
-        self.opened_at: Optional[float] = None
-
-    def record_failure(self) -> None:
-        self.failures += 1
-        if self.failures >= self.threshold:
-            newly = self.opened_at is None
-            self.opened_at = time.monotonic()
-            if newly:
-                _note_fault(
-                    "<pool>",
-                    "breaker-open",
-                    f"{self.failures} consecutive dispatch failures; "
-                    f"pool dispatch suspended for {self.cooldown_s:.0f}s",
-                )
-
-    def record_success(self) -> None:
-        if self.opened_at is not None:
-            _note_fault("<pool>", "breaker-closed", "probe dispatch succeeded")
-        self.failures = 0
-        self.opened_at = None
-
-    def state(self) -> str:
-        if self.opened_at is None:
-            return "closed"
-        if time.monotonic() - self.opened_at >= self.cooldown_s:
-            return "half-open"
-        return "open"
-
-    def allows(self) -> bool:
-        return self.state() != "open"
+    return CircuitBreaker(
+        int(_env_float("REPRO_BREAKER_THRESHOLD", 3)),
+        _env_float("REPRO_BREAKER_COOLDOWN_S", 30.0),
+    )
 
 
-BREAKER = CircuitBreaker()
+BREAKER = _pool_breaker()
 
 
 def dispatch_allowed() -> bool:
@@ -241,7 +205,7 @@ def breaker_state() -> str:
 def reset_breaker() -> None:
     """Fresh breaker re-reading the env knobs (tests)."""
     global BREAKER
-    BREAKER = CircuitBreaker()
+    BREAKER = _pool_breaker()
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +724,13 @@ class WorkerPool:
 
         results, timings, failed = self._run_chunks(loop_key, chunks, bindings, deadline_s)
         if failed:
-            BREAKER.record_failure()
+            if BREAKER.record_failure():
+                _note_fault(
+                    "<pool>",
+                    "breaker-open",
+                    f"{BREAKER.failures} consecutive dispatch failures; "
+                    f"pool dispatch suspended for {BREAKER.cooldown_s:.0f}s",
+                )
             time.sleep(RETRY_BACKOFF_S)
             if snap:
                 self._restore_snapshot(snap)
@@ -795,8 +765,8 @@ class WorkerPool:
                 r3, t3 = self._run_serial_chunks(loop_key, serial_jobs, bindings)
                 results.update(r3)
                 timings.extend(t3)
-        else:
-            BREAKER.record_success()
+        elif BREAKER.record_success():
+            _note_fault("<pool>", "breaker-closed", "probe dispatch succeeded")
         from repro.runtime import workmeter
 
         workmeter.record_chunks(loop_key, timings)

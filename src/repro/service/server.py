@@ -3,9 +3,8 @@
 One long-running process answers ``analyze``/``parallelize``/``execute``
 requests from the existing latency ladder — in-memory
 :class:`~repro.ir.perfstats.BoundedCache` result caches, the per-nest
-incremental tier, the sharded on-disk cache, and (for cold batches) a
-fan-out over worker processes — so service-style traffic stops paying
-process startup, pool spin-up and calibration per call.
+incremental tier and the sharded on-disk cache — so service-style traffic
+stops paying process startup, pool spin-up and calibration per call.
 
 Architecture
 ------------
@@ -21,29 +20,28 @@ Architecture
   full the request is rejected *immediately* with ``status=overloaded``
   (503 semantics) — callers observe backpressure as a fast reply, never
   as an unbounded hang.
-* **Compute**: queue consumers hand work to a small thread executor
-  (default 1 thread — the analysis is GIL-bound Python; concurrency
-  comes from the caches, the batch process fan-out, and the execution
-  worker pool).  Batches are deduplicated by source digest before any
-  work is dispatched, and cold unique members can fan out over a
-  persistent :class:`concurrent.futures.ProcessPoolExecutor`
-  (``--procs``) whose children share the same sharded disk cache.
+* **Compute**: queue consumers hand work to a one-thread executor (the
+  analysis is GIL-bound Python; concurrency comes from the caches and
+  the execution worker pool).  Batches are deduplicated by source digest
+  before any work is dispatched, and the unique cold members are
+  analyzed one after another on that thread.
 * **Deadlines**: a request's ``deadline_ms`` bounds queue wait (expired
   jobs fast-fail with ``status=timeout``) and is threaded into
   :class:`repro.budget.AnalysisBudget` so cold analysis degrades
   per-nest instead of blowing the deadline.
-* **Circuit breaker**: consecutive ``execute`` failures open a breaker
-  that degrades further execute requests to analyze-only replies
-  (``status=degraded``) until a cooldown passes — a fault storm in the
-  execution pool must not take analysis traffic down with it.
+* **Circuit breaker**: consecutive ``execute`` failures open a
+  :class:`~repro.breaker.CircuitBreaker` that degrades further execute
+  requests to analyze-only replies (``status=degraded``) until a
+  cooldown passes — a fault storm in the execution pool must not take
+  analysis traffic down with it.
 * **Metrics**: the ``metrics`` op exports service counters, per-op
   p50/p99 latency histograms, queue depth, and the full perfstats /
   workmeter state (see :mod:`repro.service.metrics`).
 
 Shutdown (SIGTERM/SIGINT or the ``shutdown`` op) stops the listener,
-drains in-flight work, tears down both pools (the shared-memory worker
-pool's atexit sweep guarantees no orphan ``/dev/shm`` segments), and
-removes the Unix socket file.
+drains in-flight work, tears down the compute thread and the
+shared-memory worker pool (whose atexit sweep guarantees no orphan
+``/dev/shm`` segments), and removes the Unix socket file.
 """
 
 from __future__ import annotations
@@ -60,6 +58,7 @@ import sys
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.breaker import CircuitBreaker
 from repro.budget import AnalysisBudget
 from repro.ir.perfstats import BoundedCache
 from repro.service import metrics as service_metrics
@@ -96,42 +95,10 @@ class ServeConfig:
     port: int = 0  # 0 = ephemeral; the bound port is printed on stdout
     unix_path: Optional[str] = None  # Unix-domain socket (preferred locally)
     queue_size: int = 128  # admission queue bound (backpressure past this)
-    compute_threads: int = 1  # threads in the compute executor
-    procs: int = 0  # process fan-out for cold batch members (0 = inline)
     reply_cache_entries: int = 4096  # rendered per-program reply fragments
     breaker_threshold: int = 3  # consecutive execute failures to open
     breaker_cooldown_s: float = 30.0
     allow_test_ops: bool = False  # honor __test_sleep_ms (tests/benchmarks)
-
-
-class _Breaker:
-    """Consecutive-failure circuit breaker for the execute path."""
-
-    def __init__(self, threshold: int, cooldown_s: float):
-        self.threshold = max(1, threshold)
-        self.cooldown_s = cooldown_s
-        self.failures = 0
-        self.opened_at: Optional[float] = None
-
-    def record_failure(self) -> None:
-        self.failures += 1
-        if self.failures >= self.threshold:
-            self.opened_at = time.monotonic()
-
-    def record_success(self) -> None:
-        self.failures = 0
-        self.opened_at = None
-
-    @property
-    def open(self) -> bool:
-        if self.opened_at is None:
-            return False
-        if time.monotonic() - self.opened_at >= self.cooldown_s:
-            # half-open: allow the next execute through as a probe
-            self.opened_at = None
-            self.failures = max(0, self.threshold - 1)
-            return False
-        return True
 
 
 @dataclasses.dataclass
@@ -143,7 +110,7 @@ class _Job:
 
 
 # ---------------------------------------------------------------------------
-# request processing (compute side; also used by the process fan-out)
+# request processing (compute side)
 # ---------------------------------------------------------------------------
 
 
@@ -171,12 +138,7 @@ def _diag_list(diagnostics) -> List[Dict[str, str]]:
 
 
 def analyze_one(op: str, source: str, pipeline: str, options: Dict[str, Any]) -> Dict[str, Any]:
-    """Analyze or parallelize one source; returns the reply fragment.
-
-    Module-level and JSON-in/JSON-out so the batch process fan-out can
-    ship it to a worker child; the child's own cache tiers (and the
-    shared sharded disk cache) do their usual write-through.
-    """
+    """Analyze or parallelize one source; returns the JSON reply fragment."""
     config = _build_config(
         pipeline,
         options.get("deadline_ms"),
@@ -232,11 +194,11 @@ class AnalysisService:
         self._queue: Optional[asyncio.Queue] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._compute = concurrent.futures.ThreadPoolExecutor(
-            max_workers=max(1, self.config.compute_threads),
-            thread_name_prefix="repro-compute",
+            max_workers=1, thread_name_prefix="repro-compute"
         )
-        self._procpool: Optional[concurrent.futures.ProcessPoolExecutor] = None
-        self._breaker = _Breaker(self.config.breaker_threshold, self.config.breaker_cooldown_s)
+        self._breaker = CircuitBreaker(
+            self.config.breaker_threshold, self.config.breaker_cooldown_s
+        )
         self._shutdown = asyncio.Event()
         self._workers: List["asyncio.Task"] = []
         self.bound_port: Optional[int] = None
@@ -245,17 +207,6 @@ class AnalysisService:
 
     async def start(self) -> None:
         self._queue = asyncio.Queue(maxsize=self.config.queue_size)
-        if self.config.procs > 0:
-            ctx = None
-            try:
-                import multiprocessing
-
-                ctx = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - platforms without fork
-                ctx = None
-            self._procpool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.config.procs, mp_context=ctx
-            )
         if self.config.unix_path:
             with contextlib.suppress(OSError):
                 os.unlink(self.config.unix_path)
@@ -291,8 +242,6 @@ class AnalysisService:
             t.cancel()
         await asyncio.gather(*self._workers, return_exceptions=True)
         self._compute.shutdown(wait=True)
-        if self._procpool is not None:
-            self._procpool.shutdown(wait=True)
         with contextlib.suppress(Exception):
             from repro.runtime.parbackend import shutdown_pool
 
@@ -601,24 +550,11 @@ class AnalysisService:
         options: Dict[str, Any],
         errors: Dict[str, str],
     ) -> Dict[str, Dict[str, Any]]:
-        """Analyze the batch's unique cold members; fan out when possible."""
+        """Analyze the batch's unique cold members, one after another."""
         fragments: Dict[str, Dict[str, Any]] = {}
-        items = list(cold.items())
-        futures = {}
-        if self._procpool is not None and len(items) > 1:
+        for digest, source in cold.items():
             try:
-                for digest, source in items:
-                    futures[digest] = self._procpool.submit(
-                        analyze_one, op, source, pipeline, options
-                    )
-            except (OSError, RuntimeError):
-                futures = {}  # pool broken (fork failure): compute inline
-        for digest, source in items:
-            try:
-                if digest in futures:
-                    frag = futures[digest].result()
-                else:
-                    frag = analyze_one(op, source, pipeline, options)
+                frag = analyze_one(op, source, pipeline, options)
             except Exception as exc:
                 errors[digest] = f"{type(exc).__name__}: {exc}"
                 continue
@@ -632,7 +568,7 @@ class AnalysisService:
         name = request.get("benchmark")
         if not isinstance(name, str):
             raise ValueError("execute needs 'benchmark' (a registered kernel name)")
-        if self._breaker.open:
+        if not self._breaker.allows():
             # fault storm: keep answering, but analysis-only
             self.stats.bump("degraded_executes")
             from repro.benchmarks import get_benchmark

@@ -12,6 +12,7 @@ balance-limited (paper Figure 15a).
 from __future__ import annotations
 
 import dataclasses
+import zlib
 from typing import Dict
 
 import numpy as np
@@ -62,7 +63,7 @@ def amg_matrix(ds: AMGDataset, small: bool = False) -> CSRMatrix:
     """
     g = 8 if small else ds.grid
     n = g * g * g
-    return banded_csr(n, half_bandwidth=13, seed=hash(ds.name) % (2**31))
+    return banded_csr(n, half_bandwidth=13, seed=zlib.crc32(ds.name.encode()) % (2**31))
 
 
 def laplacian27_csr(g: int, seed: int = 0) -> CSRMatrix:

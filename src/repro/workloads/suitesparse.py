@@ -23,6 +23,7 @@ compiler's property proofs are input-independent.
 from __future__ import annotations
 
 import dataclasses
+import zlib
 from typing import Dict
 
 import numpy as np
@@ -57,12 +58,13 @@ def suitesparse_profile(name: str, axis: str = "col") -> np.ndarray:
     """nnz-per-column (or per-row) profile of a named matrix.
 
     The counts are scaled so their sum matches the published nnz exactly
-    (up to rounding drift of < 0.5%).
+    (up to rounding drift of < 0.5%).  The generator is seeded from a CRC32
+    of the name, so a profile is the same in every process.
     """
     p = SUITESPARSE_PROFILES[name]
     n = p.n_cols if axis == "col" else p.n_rows
     mean = p.nnz / n
-    counts = row_counts_only(p.kind, n, mean, p.sigma, seed=abs(hash(name)) % (2**31))
+    counts = row_counts_only(p.kind, n, mean, p.sigma, seed=zlib.crc32(name.encode()) % (2**31))
     # rescale to hit the published nnz
     scale = p.nnz / counts.sum()
     counts = np.maximum(1, np.round(counts * scale).astype(np.int64))

@@ -1,54 +1,16 @@
-"""Parallel experiment harness: determinism, jobs resolution, cache reuse.
+"""Experiment harness: serial cell loop, shared perf models, fail-soft cells.
 
-The fan-out must be invisible in the output: every figure table produced by
-the process pool has to be cell-for-cell identical to the serial path, and
-``REPRO_JOBS=1`` must force the serial loop.
+``run_cells`` evaluates cells one after another in the calling process.
+Sharing one performance model per ``(benchmark, dataset)`` across a call
+must be invisible in the output: every cell has to match evaluating that
+cell on its own.
 """
 
 import dataclasses
 
-import pytest
-
 from repro.experiments import harness
 from repro.experiments.fig13 import fig13_cells
-from repro.experiments.harness import CellSpec, resolved_jobs, run_cell, run_cells
-
-
-class TestJobsResolution:
-    def test_explicit_jobs_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "7")
-        assert resolved_jobs(3) == 3
-
-    def test_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "5")
-        assert resolved_jobs() == 5
-
-    def test_repro_jobs_1_forces_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "1")
-        assert resolved_jobs() == 1
-        # with one job the pool must never be constructed
-        def boom(*a, **kw):  # pragma: no cover - only hit on failure
-            raise AssertionError("ProcessPoolExecutor used despite REPRO_JOBS=1")
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", boom)
-        specs = [CellSpec("AMGmk", None, "Cetus+NewAlgo", p) for p in (4, 8)]
-        runs = run_cells(specs)
-        assert [r.cores for r in runs] == [4, 8]
-
-    def test_garbage_env_names_the_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "garbage")
-        with pytest.raises(ValueError, match="REPRO_JOBS"):
-            resolved_jobs()
-
-    def test_zero_clamps_to_one(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "0")
-        assert resolved_jobs() == 1
-
-    def test_default_is_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        import os
-
-        assert resolved_jobs() == (os.cpu_count() or 1)
+from repro.experiments.harness import CellSpec, run_cell, run_cells
 
 
 class TestParallelMatchesSerial:
@@ -58,21 +20,28 @@ class TestParallelMatchesSerial:
             for p in (4, 8, 16)
             for sched in ("static", "dynamic")
         ]
-        serial = run_cells(specs, jobs=1)
-        parallel = run_cells(specs, jobs=2)
-        assert [dataclasses.astuple(r) for r in parallel] == [
-            dataclasses.astuple(r) for r in serial
+        shared = run_cells(specs)
+        alone = [run_cell(s) for s in specs]
+        assert [dataclasses.astuple(r) for r in shared] == [
+            dataclasses.astuple(r) for r in alone
         ]
 
     def test_fig13_parallel_identical_to_serial(self):
-        serial = fig13_cells(jobs=1)
-        parallel = fig13_cells(jobs=2)
-        assert len(serial) == len(parallel)
-        for a, b in zip(serial, parallel):
-            assert dataclasses.astuple(a) == dataclasses.astuple(b)
+        """Fig 13's "with/without" parallel times from one shared-model
+        call equal the ones each cell computes on its own."""
+        from repro.experiments.fig13 import APPS, CORES
+
+        cells = fig13_cells()
+        keys = [(a, ds, p) for a, datasets in APPS.items() for ds in datasets for p in CORES]
+        assert len(cells) == len(keys)
+        for cell, (app, ds, p) in zip(cells, keys):
+            without = run_cell(CellSpec(app, ds, "Cetus", p))
+            with_ = run_cell(CellSpec(app, ds, "Cetus+NewAlgo", p))
+            assert (cell.app, cell.dataset, cell.cores) == (app, ds, p)
+            assert (cell.t_without, cell.t_with) == (without.parallel_time, with_.parallel_time)
 
     def test_single_cell_stays_serial(self):
-        (run,) = run_cells([CellSpec("SDDMM", "af_shell1", "Cetus", 8)], jobs=16)
+        (run,) = run_cells([CellSpec("SDDMM", "af_shell1", "Cetus", 8)])
         assert run.benchmark == "SDDMM"
         assert run.cores == 8
 
@@ -89,120 +58,10 @@ class TestParallelMatchesSerial:
 
 
 class TestFaultTolerance:
-    """The fan-out is fail-soft: pool failures are *logged* (never silent)
-    and degraded to serial retries; timed-out or doubly-failing cells
-    become FailedCell holes instead of killing the whole table."""
+    """The loop is fail-soft: a cell that raises is *logged* (never
+    silent) and becomes a FailedCell hole instead of killing the table."""
 
     SPECS = [CellSpec("AMGmk", None, "Cetus+NewAlgo", p) for p in (4, 8)]
-
-    def test_pool_startup_failure_warns_and_runs_serially(self, monkeypatch, caplog):
-        import logging
-
-        def denied(*a, **kw):
-            raise PermissionError("no process support in this sandbox")
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", denied)
-        with caplog.at_level(logging.WARNING, logger="repro.experiments.harness"):
-            runs = run_cells(self.SPECS, jobs=4)
-        assert [r.cores for r in runs] == [4, 8]
-        assert all(isinstance(r, harness.BenchRun) for r in runs)
-        warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
-        assert len(warnings) == 1
-        assert "no process support" in warnings[0].getMessage()
-
-    def test_broken_pool_warns_once_and_retries_serially(self, monkeypatch, caplog):
-        """Regression: a BrokenProcessPool used to silently fall back to
-        the serial path with no trace of the triggering exception."""
-        import logging
-
-        from concurrent.futures.process import BrokenProcessPool
-
-        class FakeFuture:
-            def result(self, timeout=None):
-                raise BrokenProcessPool("a child process terminated abruptly")
-
-            def cancel(self):
-                return False
-
-        class FakePool:
-            def __init__(self, *a, **kw):
-                pass
-
-            def submit(self, fn, *args):
-                return FakeFuture()
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                pass
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
-        with caplog.at_level(logging.WARNING, logger="repro.experiments.harness"):
-            runs = run_cells(self.SPECS, jobs=4)
-        # every cell was retried serially and produced a real result
-        assert [r.cores for r in runs] == [4, 8]
-        assert all(isinstance(r, harness.BenchRun) for r in runs)
-        pool_warnings = [
-            r
-            for r in caplog.records
-            if r.levelno >= logging.WARNING and "worker pool broke" in r.getMessage()
-        ]
-        assert len(pool_warnings) == 1  # warned once, not once per cell
-        assert "terminated abruptly" in pool_warnings[0].getMessage()
-
-    def test_cell_timeout_yields_failed_cell(self, monkeypatch, caplog):
-        import logging
-
-        from concurrent.futures import TimeoutError as FutureTimeoutError
-
-        class SlowFuture:
-            def result(self, timeout=None):
-                raise FutureTimeoutError()
-
-            def cancel(self):
-                return True
-
-        class FakePool:
-            def __init__(self, *a, **kw):
-                pass
-
-            def submit(self, fn, *args):
-                return SlowFuture()
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                assert not wait  # a hung worker must not block shutdown
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
-        with caplog.at_level(logging.WARNING, logger="repro.experiments.harness"):
-            runs = run_cells(self.SPECS, jobs=4, cell_timeout=0.5)
-        assert all(isinstance(r, harness.FailedCell) for r in runs)
-        assert all("timed out" in r.error for r in runs)
-        # identity fields survive so figure tables keep their geometry
-        assert [r.cores for r in runs] == [4, 8]
-
-    def test_worker_crash_retries_serially_then_fails_soft(self, monkeypatch, caplog):
-        import logging
-
-        class CrashFuture:
-            def result(self, timeout=None):
-                raise RuntimeError("worker exploded")
-
-            def cancel(self):
-                return False
-
-        class FakePool:
-            def __init__(self, *a, **kw):
-                pass
-
-            def submit(self, fn, *args):
-                return CrashFuture()
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                pass
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
-        with caplog.at_level(logging.WARNING, logger="repro.experiments.harness"):
-            runs = run_cells(self.SPECS, jobs=4)
-        # the serial retry succeeds (the crash was worker-side only)
-        assert all(isinstance(r, harness.BenchRun) for r in runs)
 
     def test_failed_cell_ducktypes_benchrun_and_renders(self):
         import math
@@ -216,68 +75,43 @@ class TestFaultTolerance:
     def test_serial_cell_crash_becomes_failed_cell(self, monkeypatch, caplog):
         import logging
 
-        def boom(spec):
+        def boom(spec, perf_models=None):
             raise ValueError("bad cell")
 
         monkeypatch.setattr(harness, "run_cell", boom)
         with caplog.at_level(logging.WARNING, logger="repro.experiments.harness"):
-            runs = run_cells(self.SPECS, jobs=1)
+            runs = run_cells(self.SPECS)
         assert all(isinstance(r, harness.FailedCell) for r in runs)
         assert all("ValueError" in r.error for r in runs)
 
-    def test_cell_timeout_env_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CELL_TIMEOUT", "2.5")
-        assert harness.resolved_cell_timeout() == 2.5
-        assert harness.resolved_cell_timeout(7.0) == 7.0  # explicit arg wins
-        monkeypatch.setenv("REPRO_CELL_TIMEOUT", "0")
-        assert harness.resolved_cell_timeout() is None
-        monkeypatch.setenv("REPRO_CELL_TIMEOUT", "junk")
-        with pytest.raises(ValueError, match="REPRO_CELL_TIMEOUT"):
-            harness.resolved_cell_timeout()
 
+class TestPerfModelReuse:
+    def test_one_run_cells_call_builds_each_perf_model_once(self, monkeypatch):
+        from repro.benchmarks.registry import get_benchmark
 
-class TestWorkerStatsAggregation:
-    """Worker-side perfstats ship back over the reply pipe, so ``--stats``
-    aggregates the whole run without forcing ``REPRO_JOBS=1``."""
+        calls = {}
+        for name in ("AMGmk", "SDDMM"):
+            bench = get_benchmark(name)
+            build = bench.perf_model
 
-    def test_run_cell_stats_returns_counter_deltas(self):
-        from repro.ir import perfstats
+            def counting(dataset, _build=build, _name=name):
+                calls[(_name, dataset)] = calls.get((_name, dataset), 0) + 1
+                return _build(dataset)
 
-        spec = CellSpec("AMGmk", None, "Cetus+NewAlgo", 4)
-        result, counts, tiers, falls = harness._run_cell_stats(spec)
-        assert result.benchmark == "AMGmk"
-        # only non-zero deltas travel, and every name is a real counter
-        assert all(v != 0 for v in counts.values())
-        assert all(name in perfstats.Counters.__slots__ for name in counts)
-
-    def test_merge_cell_stats_folds_into_parent(self):
-        from repro.ir import perfstats
-
-        spec = CellSpec("AMGmk", None, "Cetus+NewAlgo", 8)
-        payload = harness._run_cell_stats(spec)
-        fake = (payload[0], {"analysis_misses": 3, "unknown_counter": 9},
-                {"vectorized": 2}, {"why": 1})
-        before = perfstats.STATS.analysis_misses
-        tier_before = perfstats.TIERS.get("vectorized", 0)
-        result = harness._merge_cell_stats(fake)
-        assert result.benchmark == "AMGmk"
-        assert perfstats.STATS.analysis_misses == before + 3
-        assert perfstats.TIERS.get("vectorized", 0) == tier_before + 2
-        assert perfstats.FALLBACKS.get("why", 0) >= 1
-
-    def test_pooled_run_cells_surfaces_worker_counters(self):
-        """End to end: with jobs>1 the parent's counters still move —
-        the workers' analysis/cache activity is merged, not lost."""
-        from repro.ir import perfstats
-
+            monkeypatch.setattr(bench, "perf_model", counting)
         specs = [
-            CellSpec("AMGmk", "MATRIX1", "Cetus+NewAlgo", p) for p in (4, 8)
+            CellSpec(app, ds, pipe, p, sched)
+            for app, ds in (("AMGmk", "MATRIX1"), ("AMGmk", None), ("SDDMM", "af_shell1"))
+            for pipe in ("Cetus", "Cetus+NewAlgo")
+            for p in (4, 16)
+            for sched in ("static", "dynamic")
         ]
-        perfstats.reset_counters()
-        runs = run_cells(specs, jobs=2)
-        assert [r.cores for r in runs] == [4, 8]
-        moved = perfstats.STATS.as_dict()
-        assert sum(abs(v) for v in moved.values()) > 0, (
-            "jobs=2 run left every parent counter at zero: worker stats "
-            "were not aggregated"
-        )
+        runs = run_cells(specs)
+        assert len(runs) == len(specs)
+        assert all(isinstance(r, harness.BenchRun) for r in runs)
+        # dataset None resolves to the default (MATRIX2) before the lookup
+        assert calls == {
+            ("AMGmk", "MATRIX1"): 1,
+            ("AMGmk", "MATRIX2"): 1,
+            ("SDDMM", "af_shell1"): 1,
+        }

@@ -29,9 +29,10 @@ SRC = ROOT / "src"
 
 sys.path.insert(0, str(SRC))
 
+from repro.breaker import CircuitBreaker  # noqa: E402
 from repro.service import protocol  # noqa: E402
 from repro.service.client import ServiceClient, ServiceError  # noqa: E402
-from repro.service.server import AnalysisService, ServeConfig, _Breaker  # noqa: E402
+from repro.service.server import AnalysisService, ServeConfig  # noqa: E402
 
 
 def _unique_source() -> str:
@@ -407,22 +408,22 @@ class TestBreaker:
     def test_breaker_unit(self, monkeypatch):
         clock = [0.0]
         monkeypatch.setattr(time, "monotonic", lambda: clock[0])
-        b = _Breaker(threshold=2, cooldown_s=10.0)
-        assert not b.open
+        b = CircuitBreaker(threshold=2, cooldown_s=10.0)
+        assert b.allows()
         b.record_failure()
-        assert not b.open
+        assert b.allows()
         b.record_failure()
-        assert b.open
+        assert not b.allows()
         clock[0] = 5.0
-        assert b.open  # still cooling down
+        assert not b.allows()  # still cooling down
         clock[0] = 10.0
-        assert not b.open  # half-open probe allowed
+        assert b.allows()  # half-open probe allowed
         b.record_failure()  # probe failed: re-opens at threshold
-        assert b.open
+        assert not b.allows()
         clock[0] = 20.0
-        assert not b.open
+        assert b.allows()
         b.record_success()
-        assert not b.open and b.failures == 0
+        assert b.allows() and b.failures == 0
 
     def test_execute_degrades_to_analysis_under_fault_storm(self, monkeypatch):
         import repro.runtime.simulate as simulate

@@ -1,5 +1,9 @@
 """Dataset-table tests (AMG matrices, SuiteSparse profiles, NPB classes)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -100,3 +104,33 @@ class TestLaplacian27:
             (np.ones_like(mat.data), mat.indices, mat.indptr), shape=(64, 64)
         )
         assert (sp != sp.T).nnz == 0
+
+
+_DUMP_DATASETS = """
+import sys
+import numpy as np
+from repro.workloads.amg import AMG_DATASETS, amg_matrix
+from repro.workloads.suitesparse import suitesparse_profile
+m = amg_matrix(AMG_DATASETS["MATRIX1"], small=True)
+np.savez(sys.argv[1], gsm=suitesparse_profile("gsm_106857"),
+         indptr=m.indptr, indices=m.indices, data=m.data)
+"""
+
+
+class TestStableSeeds:
+    """Generated datasets must not depend on the per-process string hash."""
+
+    def test_same_arrays_under_different_hash_seeds(self, tmp_path):
+        src_dir = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))), "src"
+        )
+        dumps = []
+        for hash_seed in ("1", "2"):
+            out = str(tmp_path / f"seed{hash_seed}.npz")
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+            subprocess.run([sys.executable, "-c", _DUMP_DATASETS, out], env=env, check=True)
+            dumps.append(np.load(out))
+        a, b = dumps
+        for key in ("gsm", "indptr", "indices", "data"):
+            np.testing.assert_array_equal(a[key], b[key])
